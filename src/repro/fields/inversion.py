@@ -183,24 +183,40 @@ def batch_inverse(field, values: list[int]) -> list[int]:
     return out
 
 
+#: ASCII hex digit -> its value: the 4-bit windows of a multiplier, top
+#: first, are ``format(b, "x")`` translated through this table.
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def _poly_mul(a: int, b: int) -> int:
-    """Carry-less (polynomial) multiplication of two GF(2)[x] elements."""
+    """Carry-less (polynomial) multiplication of two GF(2)[x] elements.
+
+    Left-to-right comb with 4-bit windows (the software form of
+    Algorithm 6): the operand with fewer bits is the multiplier, a table
+    holds u(x)*a(x) for every u < 16, and each window of the multiplier,
+    from the top, shifts the accumulator and adds one table entry.  A
+    multiplier of 4 bits or fewer skips the table for shift-and-add.
+    """
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
     result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
+    if b < 16:
+        while b:
+            if b & 1:
+                result ^= a
+            a <<= 1
+            b >>= 1
+        return result
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    table = (0, a, a2, a2 ^ a, a4, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a,
+             a8, a8 ^ a, a8 ^ a2, a8 ^ a2 ^ a,
+             a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a4 ^ a2, a8 ^ a4 ^ a2 ^ a)
+    for u in format(b, "x").encode().translate(_HEX_DIGITS):
+        result = (result << 4) ^ table[u]
     return result
 
 
 def _poly_sqr(a: int) -> int:
-    """Polynomial squaring: interleave zero bits (paper Section 4.2.3)."""
-    result = 0
-    i = 0
-    while a:
-        if a & 1:
-            result |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return result
+    """Polynomial squaring: interleave zero bits (paper Section 4.2.3),
+    i.e. read the binary digits of ``a`` as base-4 digits."""
+    return int(format(a, "b"), 4)

@@ -189,7 +189,9 @@ def reduce_binary(c: int, m: int) -> int:
     reduction polynomial), folding the high part down -- the integer-level
     equivalent of Algorithm 7.  Works for any degree of ``c``.
     """
-    tail = BINARY_TAIL_EXPONENTS[m]
+    tail = BINARY_TAIL_EXPONENTS.get(m)
+    if tail is None:
+        raise KeyError(f"no NIST binary field of degree {m}")
     while c >> m:
         high = c >> m
         c &= (1 << m) - 1

@@ -1,12 +1,18 @@
 """The synthetic ECDSA trace and the cache working-set knee."""
 
+from array import array
+
+import pytest
 
 from repro.model.icache_model import (
     HOT_LAYOUT,
+    _line_runs,
     cache_study,
     ecdsa_instruction_trace,
     miss_profile,
 )
+from repro.pete.icache import ICache, ICacheConfig
+from repro.pete.stats import CoreStats
 
 
 def test_trace_is_deterministic():
@@ -70,3 +76,26 @@ def test_miss_profile_covers_sweep():
 
 def test_study_cached():
     assert cache_study(2048, False) is cache_study(2048, False)
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("kb", [1, 2, 4, 8])
+def test_run_collapsed_study_equals_per_fetch_replay(kb, prefetch):
+    point_ops = 12
+    stats = CoreStats()
+    cache = ICache(ICacheConfig(size_bytes=kb * 1024, prefetch=prefetch),
+                   stats)
+    stalls = sum(cache.access(addr)
+                 for addr in ecdsa_instruction_trace(point_ops))
+    study = cache_study(kb * 1024, prefetch, point_ops)
+    assert (study.accesses, study.misses, study.prefetch_hits,
+            study.rom_line_reads, study.extra_stall_cycles) == (
+        stats.icache_accesses, stats.icache_misses, stats.prefetch_hits,
+        stats.rom_line_reads, stalls)
+
+
+def test_run_store_is_a_flat_array():
+    starts, fetches = _line_runs(12, 16)
+    assert type(starts) is array
+    assert fetches == sum(1 for _ in ecdsa_instruction_trace(12))
+    assert len(starts) < fetches
