@@ -271,8 +271,11 @@ def _build_function(program: AsmProgram, cfg: CFG, entry: int,
                 return False
             b = parent
 
+    # a dominator precedes what it dominates in RPO, so only edges
+    # that do not go forward in RPO can be back edges
     back = frozenset((u, v) for u, targets in succ.items()
-                     for v in targets if dominates(v, u))
+                     for v in targets
+                     if rpo_index[v] <= rpo_index[u] and dominates(v, u))
     # reducibility: RPO must topologically order the non-back edges
     irreducible = any(rpo_index[v] <= rpo_index[u]
                       for u, targets in succ.items() for v in targets

@@ -11,10 +11,14 @@ the whole sweep without running a single Pete/Monte/Billie simulation.
 Robustness: every task gets a per-task timeout (pooled runs), a bounded
 number of retries, and graceful degradation -- a task that keeps
 failing is reported and *skipped*, never fatal to the sweep.  Pooled
-tasks each run in a dedicated worker process, so the timeout clock
-starts when the task actually starts (queued tasks are never falsely
-timed out) and a genuinely hung simulation is killed, freeing its slot
-instead of stalling the sweep.  Cache entries and ledger records are
+tasks run on at most ``jobs`` long-lived worker processes, one task at
+a time each, so the model layers' memos are shared between the tasks
+of a worker as they are inline.  A task is sent only to an idle worker
+and its timeout clock starts at the send (queued tasks are never
+falsely timed out); a genuinely hung simulation is killed and its
+worker replaced, freeing the slot instead of stalling the sweep.  A
+worker whose task failed is retired, and retries run in fresh
+processes.  Cache entries and ledger records are
 written as each task completes, so an interrupted cold sweep still
 warms the cache for its rerun.  Each task emits one ``sweep`` record
 (status, attempts, wall-clock, cycles, energy) into the
@@ -41,8 +45,8 @@ if TYPE_CHECKING:
     from repro.energy.calibration import Calibration
 
 #: Per-task wall-clock budget in pooled runs, measured from the moment
-#: the task's worker process starts (inline runs are not preemptible
-#: and ignore it).
+#: the task is sent to a worker (inline runs are not preemptible and
+#: ignore it).
 DEFAULT_TIMEOUT_S = 600.0
 #: Additional attempts after the first failure.
 DEFAULT_RETRIES = 1
@@ -124,34 +128,47 @@ def _serve_delta(base: dict[str, int]) -> dict[str, int] | None:
     return {k: now.get(k, 0) - base.get(k, 0) for k in _SERVE_KEYS}
 
 
-def _pool_worker(conn, compute, kind: str, name: str,
-                 obs_ctx: dict | None = None) -> None:
-    """Run one task in a dedicated process, reporting over ``conn``.
+def _pool_worker(conn, compute) -> None:
+    """Serve tasks from ``conn`` until the parent sends ``None``.
 
-    The message is ``(status, value, extras)``: extras carry the
-    worker's fast-path counter delta (measured against this process's
-    own baseline, so a forked parent's counts never leak in) and -- when
-    ``obs_ctx`` joined it to the parent's trace -- the drained telemetry
-    snapshot, whose spans are parented under the dispatching task span.
+    Each task message is ``(kind, name, obs_ctx)``; the reply is
+    ``(status, value, extras)``.  Extras carry the task's fast-path
+    counter delta (measured from the task's start, so neither a forked
+    parent's counts nor an earlier task's leak in) and -- when
+    ``obs_ctx`` joined the task to the parent's trace -- the drained
+    telemetry snapshot, whose spans are parented under the dispatching
+    task span.
     """
-    if obs_ctx is not None:
-        obs.activate_from(obs_ctx)
-    base = _fastpath_counters()
-    span = obs.span("sweep.worker", kind=kind, task=name).start()
-    try:
-        message = ("ok", compute(kind, name))
-        span.finish("ok")
-    except BaseException as exc:
-        span.finish("error")
-        message = ("error", f"{type(exc).__name__}: {exc}")
-    extras = {"fastpath": _fastpath_delta(base), "telemetry": obs.drain()}
-    try:
-        conn.send((*message, extras))
-    except Exception as exc:
-        conn.send(("error", f"unsendable result: "
-                            f"{type(exc).__name__}: {exc}", None))
-    finally:
-        conn.close()
+    parent = multiprocessing.parent_process()
+    while True:
+        try:
+            # a parent killed outright never sends ``None``; its
+            # sentinel is then what wakes this worker, so it exits
+            if conn not in _connection_wait([conn, parent.sentinel]):
+                return
+            task = conn.recv()
+        except (EOFError, KeyboardInterrupt):
+            return
+        if task is None:
+            return
+        kind, name, obs_ctx = task
+        if obs_ctx is not None:
+            obs.activate_from(obs_ctx)
+        base = _fastpath_counters()
+        span = obs.span("sweep.worker", kind=kind, task=name).start()
+        try:
+            message = ("ok", compute(kind, name))
+            span.finish("ok")
+        except BaseException as exc:
+            span.finish("error")
+            message = ("error", f"{type(exc).__name__}: {exc}")
+        extras = {"fastpath": _fastpath_delta(base),
+                  "telemetry": obs.drain()}
+        try:
+            conn.send((*message, extras))
+        except Exception as exc:
+            conn.send(("error", f"unsendable result: "
+                                f"{type(exc).__name__}: {exc}", None))
 
 
 def _reap(proc) -> None:
@@ -468,13 +485,18 @@ class SweepEngine:
             self._note_outcome(outcomes[spec.key], emit_span=True)
 
     def _run_pool(self, pending, outcomes, keys) -> None:
-        """One dedicated worker process per task attempt.
+        """Tasks on at most ``self.jobs`` long-lived worker processes.
 
-        At most ``self.jobs`` workers run at once.  Each worker reports
-        over a pipe; its deadline is measured from ``Process.start()``,
-        and a worker that outlives it is killed -- the slot frees up
-        for the queued/retried tasks instead of the sweep blocking on a
-        hung simulation.
+        A worker takes one task at a time over its pipe and keeps its
+        process-wide memos between tasks, so shared model results are
+        computed once per worker rather than once per task.  Tasks are
+        sent only to idle workers and each deadline is measured from
+        the send, so queued tasks are never falsely timed out; a worker
+        that outlives its deadline is killed and its slot freed for the
+        queued/retried tasks instead of the sweep blocking on a hung
+        simulation.  A worker whose task failed or that died is
+        retired, and every retry starts a fresh process, so a failed
+        attempt leaves no state behind for later tasks.
         """
         ctx = multiprocessing.get_context(self.mp_context)
         tel = obs.get()
@@ -482,8 +504,31 @@ class SweepEngine:
         first_start: dict[tuple[str, str], float] = {}
         reap_counts: dict[tuple[str, str], int] = {}
         fastpath_by_key: dict[tuple[str, str], dict[str, int]] = {}
-        # recv conn -> (proc, spec, attempt, t0, task_span)
+        # conn -> worker process; conn -> (spec, attempt, t0, task_span)
+        # for the workers that have a task out
+        procs: dict[object, object] = {}
         running: dict[object, tuple] = {}
+
+        def start_worker():
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_pool_worker,
+                               args=(child, self.compute), daemon=True)
+            proc.start()
+            child.close()
+            procs[conn] = proc
+            return conn
+
+        def stop_worker(conn) -> None:
+            """Retire an idle (or dead) worker; reap it if it lingers."""
+            proc = procs.pop(conn)
+            try:
+                conn.send(None)
+            except OSError:
+                pass                # it already died
+            conn.close()
+            proc.join(timeout=_KILL_GRACE_S)
+            if proc.is_alive():
+                _reap(proc)
 
         def absorb_extras(spec, extras) -> None:
             """Fold a worker's shipped counters/telemetry into the run."""
@@ -518,7 +563,13 @@ class SweepEngine:
             while queue or running:
                 while queue and len(running) < self.jobs:
                     spec, attempt = queue.popleft()
-                    recv, send = ctx.Pipe(duplex=False)
+                    idle = [c for c in procs if c not in running]
+                    if attempt == 1 and idle:
+                        conn = idle[0]
+                    else:
+                        if len(procs) == self.jobs:
+                            stop_worker(idle[0])
+                        conn = start_worker()
                     task_span = None
                     obs_ctx = None
                     if tel is not None:
@@ -527,48 +578,42 @@ class SweepEngine:
                             attempt=str(attempt))
                         obs_ctx = {"trace_id": tel.trace_id,
                                    "parent_id": task_span.span_id}
-                    proc = ctx.Process(
-                        target=_pool_worker,
-                        args=(send, self.compute, spec.kind, spec.name,
-                              obs_ctx),
-                        daemon=True)
-                    proc.start()
-                    send.close()
+                    conn.send((spec.kind, spec.name, obs_ctx))
                     first_start.setdefault(spec.key, time.perf_counter())
-                    running[recv] = (proc, spec, attempt,
-                                     time.perf_counter(), task_span)
+                    running[conn] = (spec, attempt, time.perf_counter(),
+                                     task_span)
 
                 now = time.perf_counter()
                 budget = min(t0 + self.timeout_s
-                             for _, _, _, t0, _ in running.values()) - now
+                             for _, _, t0, _ in running.values()) - now
                 for conn in _connection_wait(list(running),
                                              timeout=max(0.0, budget)):
-                    proc, spec, attempt, _, task_span = running.pop(conn)
+                    spec, attempt, _, task_span = running.pop(conn)
                     try:
                         status, value, extras = conn.recv()
                     except (EOFError, ValueError):
                         status, value, extras = "error", None, None
-                    conn.close()
-                    proc.join()
                     absorb_extras(spec, extras)
                     if task_span is not None:
                         task_span.annotate(result=status).finish(
                             "ok" if status == "ok" else "error")
                     if status == "ok":
                         settle(spec, attempt, "computed", payload=value)
-                    else:
-                        error = value or (f"worker died (exit code "
-                                          f"{proc.exitcode})")
-                        retry_or_fail(spec, attempt, error)
+                        continue
+                    proc = procs[conn]
+                    stop_worker(conn)
+                    error = value or (f"worker died (exit code "
+                                      f"{proc.exitcode})")
+                    retry_or_fail(spec, attempt, error)
 
                 now = time.perf_counter()
-                for conn, (proc, spec, attempt, t0,
+                for conn, (spec, attempt, t0,
                            task_span) in list(running.items()):
                     if now - t0 < self.timeout_s:
                         continue
                     del running[conn]
                     conn.close()
-                    _reap(proc)
+                    _reap(procs.pop(conn))
                     reap_counts[spec.key] = reap_counts.get(spec.key, 0) + 1
                     if task_span is not None:
                         task_span.annotate(result="reaped").finish("error")
@@ -576,11 +621,13 @@ class SweepEngine:
                                   f"timed out after {self.timeout_s:g}s")
         finally:
             # an interrupt/crash must not leak live workers (or spans)
-            for conn, (proc, _, _, _, task_span) in running.items():
+            for conn, (_, _, _, task_span) in running.items():
                 conn.close()
-                _reap(proc)
+                _reap(procs.pop(conn))
                 if task_span is not None:
                     task_span.annotate(result="aborted").finish("error")
+            for conn in list(procs):
+                stop_worker(conn)
 
     # -- ledger -------------------------------------------------------------
 

@@ -46,6 +46,21 @@ def _package_root(package: str) -> str:
     return list(spec.submodule_search_locations)[0]
 
 
+def _statements(tree: ast.AST):
+    """Every statement in ``tree``, nested ones included.
+
+    ``import`` and ``from ... import`` are statements, so walking the
+    statement lists finds all of them without visiting the far more
+    numerous expression nodes that :func:`ast.walk` would.
+    """
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for attr in ("body", "orelse", "finalbody", "handlers", "cases"):
+            stack.extend(getattr(node, attr, ()))
+
+
 class CodeGraph:
     """Static import graph of one package's sources.
 
@@ -104,7 +119,7 @@ class CodeGraph:
 
         own_pkg = name if name in self.packages \
             else name.rpartition(".")[0]
-        for node in ast.walk(tree):
+        for node in _statements(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     add(alias.name)

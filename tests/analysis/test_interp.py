@@ -245,3 +245,35 @@ def test_value_range_tracks_loop_counter():
     """)
     header = program.labels["loop"]
     assert 6 <= result.trip_bounds[(0, header)] <= 7
+
+
+def _dominator_back_edges(fn):
+    """Brute force: ``u -> v`` is a back edge when every path from the
+    entry to ``u`` passes through ``v`` (``u`` is unreachable once
+    ``v`` is removed)."""
+    back = set()
+    reach_without: dict[int, set[int]] = {}
+    for u, targets in fn.succ.items():
+        for v in targets:
+            if v not in reach_without:
+                seen = set() if v == fn.entry else {fn.entry}
+                stack = list(seen)
+                while stack:
+                    for s in fn.succ[stack.pop()]:
+                        if s != v and s not in seen:
+                            seen.add(s)
+                            stack.append(s)
+                reach_without[v] = seen
+            if u == v or u not in reach_without[v]:
+                back.add((u, v))
+    return back
+
+
+def test_back_edges_match_brute_force_dominance_on_every_kernel():
+    from repro.analysis.registry import KERNELS
+    from repro.analysis.verify import analyze_spec
+
+    for spec in KERNELS:
+        _, result = analyze_spec(spec)
+        for fn in result.functions.values():
+            assert fn.back_edges == _dominator_back_edges(fn), spec.name

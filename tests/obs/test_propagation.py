@@ -78,7 +78,8 @@ def test_pool_spans_reconstruct_as_one_tree(method):
         (body,) = children[worker["span_id"]]
         assert body["name"] == "task.body"
         assert body["pid"] == worker["pid"]
-    assert len(worker_pids) == 3     # one dedicated process per task
+    # tasks share at most ``jobs`` long-lived worker processes
+    assert 1 <= len(worker_pids) <= 2
 
 
 @pytest.mark.parametrize("method", START_METHODS)

@@ -1,5 +1,11 @@
 """The sweep engine: retry, skip, caching, ledger records, pooling."""
 
+import functools
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -57,6 +63,31 @@ def pool_hang_a(kind, name):
 def pool_sleep_short(kind, name):
     time.sleep(0.4)
     return payload_for(kind, name)
+
+
+def pool_pid(kind, name):
+    return dict(payload_for(kind, name), pid=os.getpid())
+
+
+def pool_fail_c_once(marker, kind, name):
+    """Fail task ``c``'s first attempt, leaving the failing pid in
+    ``marker``."""
+    if name == "c" and not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write(str(os.getpid()))
+        raise RuntimeError("injected first-attempt failure")
+    return pool_pid(kind, name)
+
+
+def pool_hang_a_slow_rest(marker, kind, name):
+    """Task ``a`` hangs (its pid goes to ``marker``); the rest take
+    long enough that the queue is still full when ``a`` is reaped."""
+    if name == "a":
+        with open(marker, "w") as fh:
+            fh.write(str(os.getpid()))
+        time.sleep(30.0)
+    time.sleep(0.4)
+    return pool_pid(kind, name)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +186,101 @@ def test_queued_tasks_are_not_falsely_timed_out():
                        ledger=ListLedger(), compute=pool_sleep_short,
                        retries=0, timeout_s=1.0)
     assert all(o.status == "computed" for o in result.outcomes)
+
+
+def test_pool_reuses_at_most_jobs_workers():
+    result = run_sweep(fake_specs(*"abcdef"), jobs=2, ledger=ListLedger(),
+                       compute=pool_pid)
+    assert all(o.status == "computed" for o in result.outcomes)
+    pids = {o.payload["pid"] for o in result.outcomes}
+    assert 1 <= len(pids) <= 2
+    assert os.getpid() not in pids
+
+
+def test_pool_retry_runs_in_a_fresh_process(tmp_path):
+    """A worker whose task raised is retired, and the retry starts a
+    process no earlier task ran in."""
+    marker = str(tmp_path / "failed.pid")
+    result = run_sweep(fake_specs(*"abcde"), jobs=2, ledger=ListLedger(),
+                       compute=functools.partial(pool_fail_c_once, marker),
+                       retries=1)
+    by_name = {o.name: o for o in result.outcomes}
+    assert all(o.status == "computed" for o in result.outcomes)
+    assert by_name["c"].attempts == 2
+    failed_pid = int(open(marker).read())
+    others = {o.payload["pid"] for o in result.outcomes if o.name != "c"}
+    assert by_name["c"].payload["pid"] not in others | {failed_pid}
+
+
+def test_reaped_hung_worker_is_replaced(tmp_path):
+    marker = str(tmp_path / "hung.pid")
+    result = run_sweep(fake_specs(*"abcdef"), jobs=2, ledger=ListLedger(),
+                       compute=functools.partial(pool_hang_a_slow_rest,
+                                                 marker),
+                       retries=0, timeout_s=0.5)
+    by_name = {o.name: o for o in result.outcomes}
+    assert by_name["a"].status == "failed" and by_name["a"].reaped == 1
+    rest = [o for o in result.outcomes if o.name != "a"]
+    assert all(o.status == "computed" for o in rest)
+    pids = {o.payload["pid"] for o in rest}
+    # the surviving worker plus the hung one's replacement
+    assert len(pids) == 2
+    assert int(open(marker).read()) not in pids
+
+
+@pytest.mark.parametrize("compute", [pool_compute, pool_fail])
+def test_pool_leaves_no_live_workers(compute):
+    before = set(multiprocessing.active_children())
+    result = run_sweep(fake_specs(*"abcd"), jobs=2, ledger=ListLedger(),
+                       compute=compute, retries=1)
+    assert len({o.status for o in result.outcomes}) == 1
+    assert set(multiprocessing.active_children()) <= before
+
+
+_KILLED_PARENT = """
+import os, signal, sys, time
+from repro.harness.registry import ArtifactSpec
+from repro.sweep.engine import run_sweep
+
+def compute(kind, name):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    if name == "b":
+        time.sleep(0.5)              # a's worker is idle by now
+        os.kill(os.getppid(), signal.SIGKILL)
+    return {"cycles": 0, "energy_uj": 0.0}
+
+run_sweep([ArtifactSpec("table", n, None) for n in "ab"], jobs=2,
+          compute=compute, mp_context="fork")
+"""
+
+
+def _running(pid):
+    """``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc")
+                    or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs /proc and the fork start method")
+def test_workers_exit_when_the_parent_is_killed(tmp_path):
+    """A parent killed outright never stops its workers; they notice
+    and exit instead of waiting for their next task forever."""
+    proc = subprocess.run([sys.executable, "-c", _KILLED_PARENT,
+                           str(tmp_path)], timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    pids = [int(p.name) for p in tmp_path.iterdir()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 # ---------------------------------------------------------------------------

@@ -109,3 +109,45 @@ def test_real_graph_table_producers_reach_the_kernel_generators():
     # ...but nothing in the artifact stack imports the sweep engine
     # itself: engine edits never invalidate cached results
     assert "repro.sweep.engine" not in closure
+
+
+_NESTED = '''
+class C:
+    import pkg.kernels
+try:
+    from pkg import costs
+except ImportError:
+    from . import analytic
+else:
+    pass
+finally:
+    import pkg.tables
+match 1:
+    case 1:
+        for _ in ():
+            with open("x"):
+                while False:
+                    if True:
+                        pass
+                    else:
+                        from pkg.figures import figure
+'''
+
+
+def test_statement_walk_finds_every_import(pkg, monkeypatch):
+    """Imports are statements, so the statement-list walk sees the same
+    edges as a full ``ast.walk`` -- over the real package and over
+    imports nested in every kind of statement block."""
+    import ast
+
+    from repro.sweep import keys
+
+    (pkg / "nested.py").write_text(_NESTED)
+    fast = [CodeGraph("repro"), graph(pkg)]
+    monkeypatch.setattr(keys, "_statements", ast.walk)
+    full = [CodeGraph("repro"), graph(pkg)]
+    for f, w in zip(fast, full):
+        assert f.edges == w.edges
+    assert fast[1].edges["pkg.nested"] == {
+        "pkg", "pkg.kernels", "pkg.costs", "pkg.analytic", "pkg.tables",
+        "pkg.figures"}

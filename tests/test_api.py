@@ -159,6 +159,22 @@ def test_sweep_remains_byte_identical_through_batch(tmp_path):
         _stable(get_spec("table", "7.3").payload())
 
 
+def test_pooled_sweep_output_equals_inline():
+    """Long-lived workers carry model memos from task to task; that
+    must not change a single payload.  The figures all price through
+    the shared software kernel-cost memo (``model.costs``), and spawn
+    workers start with it cold, so later tasks in a worker read what
+    an earlier one stored."""
+    only = ["figure_7.2", "figure_7.3", "figure_7.4", "table_7.3"]
+    pooled = sweep(only=only, jobs=2, cache=False, mp_context="spawn")
+    inline = sweep(only=only, jobs=1, cache=False)
+    assert [o.status for o in pooled.outcomes] == ["computed"] * 4
+    assert [o.artifact for o in pooled.outcomes] == \
+        [o.artifact for o in inline.outcomes]
+    for p, i in zip(pooled.outcomes, inline.outcomes):
+        assert _stable(p.payload) == _stable(i.payload)
+
+
 def test_unmatched_session_exit_raises():
     session = open_session()
     with pytest.raises(RuntimeError, match="matching __enter__"):
